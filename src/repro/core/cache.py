@@ -18,6 +18,8 @@ proxy* ablation (Figure 12) with all of this switched off.
   valid forever;
 * the OPE and SEARCH scheme objects created by the encryptor are registered
   here so their cache sizes and hit/miss counters aggregate into one report;
+* :meth:`forget_table` releases every unit of a dropped table (its Eq memos
+  and scheme registrations), keeping the counters the schemes had earned;
 * the Paillier randomness pool is filled through :meth:`precompute_hom` and
   its hit/miss counters are reported alongside.
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -147,8 +149,13 @@ class CryptoCache:
         self.paillier = paillier
         self.enabled = enabled
         self.budget_bytes = budget_bytes
-        self._ope_schemes: list = []
-        self._search_schemes: list = []
+        # Registered schemes by (table, column); their LRU unit keys are
+        # ("ope"|"search", table, column).
+        self._ope_schemes: dict[tuple[str, str], object] = {}
+        self._search_schemes: dict[tuple[str, str], object] = {}
+        #: Hit/miss counters of schemes released by forget_table, so the
+        #: reported totals never run backwards.
+        self._retired: dict[str, int] = defaultdict(int)
         self._eq_encrypt_memos: dict[tuple[str, str], dict] = {}
         self._eq_decrypt_memos: dict[tuple[str, str], dict] = {}
         self.det_hits = 0
@@ -175,13 +182,32 @@ class CryptoCache:
         self.hom_pool_async_refills = 0
 
     # -- scheme registration (done by the encryptor as it creates them) ----
-    def register_ope(self, scheme) -> None:
-        self._lru[("ope", len(self._ope_schemes))] = None
-        self._ope_schemes.append(scheme)
+    def register_ope(self, table: str, column: str, scheme) -> None:
+        self._lru[("ope", table, column)] = None
+        self._ope_schemes[(table, column)] = scheme
 
-    def register_search(self, scheme) -> None:
-        self._lru[("search", len(self._search_schemes))] = None
-        self._search_schemes.append(scheme)
+    def register_search(self, table: str, column: str, scheme) -> None:
+        self._lru[("search", table, column)] = None
+        self._search_schemes[(table, column)] = scheme
+
+    def forget_table(self, table: str) -> None:
+        """Release every cache unit of a dropped table.
+
+        Its Eq memos go, and its OPE/SEARCH schemes are unregistered with
+        their hit/miss counters folded into the retired totals.
+        """
+        for kind, schemes in (("ope", self._ope_schemes), ("search", self._search_schemes)):
+            for column_key in [k for k in schemes if k[0] == table]:
+                scheme = schemes.pop(column_key)
+                self._retired[kind + "_hits"] += scheme.cache_hits
+                self._retired[kind + "_misses"] += scheme.cache_misses
+        for memos in (self._eq_encrypt_memos, self._eq_decrypt_memos):
+            for column_key in [k for k in memos if k[0] == table]:
+                del memos[column_key]
+        for key in [k for k in self._lru if k[1] == table]:
+            del self._lru[key]
+            self._unit_sizes.pop(key, None)
+            self._scheme_activity.pop(key, None)
 
     # -- Eq-onion memos ----------------------------------------------------
     def eq_encrypt_memo(self, table: str, column: str) -> dict | None:
@@ -262,9 +288,9 @@ class CryptoCache:
             memo = self._eq_decrypt_memos.get(key[1:], {})
             return len(memo), (memo,)
         if kind == "ope":
-            scheme = self._ope_schemes[key[1]]
+            scheme = self._ope_schemes[key[1:]]
         else:
-            scheme = self._search_schemes[key[1]]
+            scheme = self._search_schemes[key[1:]]
         return scheme.cache_size, tuple(scheme.cache_objects())
 
     def _unit_bytes(self, key: tuple) -> int:
@@ -290,8 +316,8 @@ class CryptoCache:
         lookups; their hit+miss counters stand in as an activity signal.
         """
         for kind, schemes in (("ope", self._ope_schemes), ("search", self._search_schemes)):
-            for index, scheme in enumerate(schemes):
-                key = (kind, index)
+            for column_key, scheme in schemes.items():
+                key = (kind, *column_key)
                 activity = scheme.cache_hits + scheme.cache_misses
                 if self._scheme_activity.get(key) != activity:
                     self._scheme_activity[key] = activity
@@ -307,9 +333,9 @@ class CryptoCache:
         elif kind == "eq_dec":
             self._eq_decrypt_memos.pop(key[1:], None)
         elif kind == "ope":
-            self._ope_schemes[key[1]].clear_cache()
+            self._ope_schemes[key[1:]].clear_cache()
         else:
-            self._search_schemes[key[1]].clear_cache()
+            self._search_schemes[key[1:]].clear_cache()
         if kind in ("ope", "search"):
             # Schemes stay registered (the encryptor holds them); an empty
             # unit re-enters LRU rotation as it refills.
@@ -356,19 +382,23 @@ class CryptoCache:
     def statistics(self) -> CacheStatistics:
         det_entries = sum(len(m) for m in self._eq_encrypt_memos.values())
         det_entries += sum(len(m) for m in self._eq_decrypt_memos.values())
-        ope_entries = sum(s.cache_size for s in self._ope_schemes)
-        search_entries = sum(s.cache_size for s in self._search_schemes)
+        ope_schemes = self._ope_schemes.values()
+        search_schemes = self._search_schemes.values()
+        retired = self._retired
+        ope_entries = sum(s.cache_size for s in ope_schemes)
+        search_entries = sum(s.cache_size for s in search_schemes)
         hom_remaining = self.paillier.randomness_pool_size
         return CacheStatistics(
             det_entries=det_entries,
             det_hits=self.det_hits,
             det_misses=self.det_misses,
             ope_entries=ope_entries,
-            ope_hits=sum(s.cache_hits for s in self._ope_schemes),
-            ope_misses=sum(s.cache_misses for s in self._ope_schemes),
+            ope_hits=retired["ope_hits"] + sum(s.cache_hits for s in ope_schemes),
+            ope_misses=retired["ope_misses"] + sum(s.cache_misses for s in ope_schemes),
             search_entries=search_entries,
-            search_hits=sum(s.cache_hits for s in self._search_schemes),
-            search_misses=sum(s.cache_misses for s in self._search_schemes),
+            search_hits=retired["search_hits"] + sum(s.cache_hits for s in search_schemes),
+            search_misses=retired["search_misses"]
+            + sum(s.cache_misses for s in search_schemes),
             hom_pool_remaining=hom_remaining,
             hom_pool_hits=self.paillier.pool_hits,
             hom_pool_misses=self.paillier.pool_misses,
@@ -394,14 +424,13 @@ class CryptoCache:
         self.det_misses = 0
         self.evictions = 0
         self.evicted_bytes = 0
+        self._retired.clear()
         with self._worker_counter_lock:
             self.worker_det_hits = 0
             self.worker_det_misses = 0
             self.parallel_jobs = 0
             self.hom_pool_async_refills = 0
-        for scheme in self._ope_schemes:
-            scheme.reset_counters()
-        for scheme in self._search_schemes:
+        for scheme in (*self._ope_schemes.values(), *self._search_schemes.values()):
             scheme.reset_counters()
         self.paillier.reset_counters()
 
@@ -412,7 +441,5 @@ class CryptoCache:
         self._unit_sizes.clear()
         for key in [k for k in self._lru if k[0] in ("eq_enc", "eq_dec")]:
             del self._lru[key]
-        for scheme in self._ope_schemes:
-            scheme.clear_cache()
-        for scheme in self._search_schemes:
+        for scheme in (*self._ope_schemes.values(), *self._search_schemes.values()):
             scheme.clear_cache()

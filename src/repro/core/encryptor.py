@@ -117,7 +117,7 @@ class Encryptor:
                 key = self.keys.key_for(column.table, column.name, Onion.ORD.value, "OPE")
             ope = OPE(key, cache=self.use_ope_cache)
             self._ope[cache_key] = ope
-            self.cache.register_ope(ope)
+            self.cache.register_ope(column.table, column.name, ope)
         return self._ope[cache_key]
 
     def _search_for(self, column: ColumnMeta) -> SEARCH:
@@ -126,8 +126,15 @@ class Encryptor:
             key = self.keys.key_for(column.table, column.name, Onion.SEARCH.value, "SEARCH")
             search = SEARCH(key, cache=self.cache.enabled)
             self._search[cache_key] = search
-            self.cache.register_search(search)
+            self.cache.register_search(column.table, column.name, search)
         return self._search[cache_key]
+
+    def forget_table(self, table: str) -> None:
+        """Release a dropped table's per-column crypto objects and cache units."""
+        for schemes in (self._rnd, self._det, self._det_join, self._ope, self._search):
+            for key in [k for k in schemes if k[0] == table]:
+                del schemes[key]
+        self.cache.forget_table(table)
 
     # ------------------------------------------------------------------
     # Value encodings
@@ -844,21 +851,27 @@ class Encryptor:
                         raise CryptoError("decrypting the RND layer requires the row IV")
                     dense = self._rnd_for(column, Onion.EQ).decrypt_bytes_many(dense, dense_ivs)
                     level = EncryptionScheme.DET
-                det = self._det_for(column)
-                det_join = self._det_join_for(column)
-                plains = []
+                # Values the memo lacks are decrypted together: one batch
+                # per deterministic layer for the whole column.
+                missing: dict = {}
                 for data in dense:
-                    hit = local.get(data)
-                    if hit is None:
+                    if data in local or data in missing:
+                        if counted:
+                            self.cache.det_hits += 1
+                    else:
                         if counted:
                             self.cache.det_misses += 1
-                        inner = det.decrypt_bytes(data) if level is EncryptionScheme.DET else data
-                        join_ct = JoinCiphertext.deserialize(inner)
-                        plaintext = det_join.decrypt_bytes(join_ct.det)
-                        hit = local[data] = (self._from_bytes(column, plaintext),)
-                    elif counted:
-                        self.cache.det_hits += 1
-                    plains.append(hit[0])
+                        missing[data] = None
+                if missing:
+                    inner = list(missing)
+                    if level is EncryptionScheme.DET:
+                        inner = self._det_for(column).decrypt_bytes_many(inner)
+                    joined = self._det_join_for(column).decrypt_bytes_many(
+                        [JoinCiphertext.deserialize(data).det for data in inner]
+                    )
+                    for data, plaintext in zip(missing, joined):
+                        local[data] = (self._from_bytes(column, plaintext),)
+                plains = [local[data][0] for data in dense]
         elif onion is Onion.ORD:
             if level is EncryptionScheme.RND:
                 if any(iv is None for iv in dense_ivs):

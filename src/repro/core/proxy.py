@@ -75,8 +75,9 @@ class ProxyStatistics:
     #: many parameter rows they covered.
     batched_statements: int = 0
     batched_rows: int = 0
-    #: End-to-end per-statement wall times, keyed by statement kind
-    #: ("SELECT", "INSERT", ...), populated by every execute() call.
+    #: End-to-end per-statement wall time, keyed by statement kind
+    #: ("SELECT", "INSERT", ...): ``[count, total_seconds]``, updated by
+    #: every execute() call -- two numbers per kind however long the run.
     per_query_type_seconds: dict[str, list] = field(default_factory=dict)
     #: The proxy's unified ciphertext cache (DET/OPE/SEARCH memos, HOM pool);
     #: set by the proxy, excluded from reset()'s zeroing.
@@ -101,31 +102,31 @@ class ProxyStatistics:
         return stats
 
     def record_query_type(self, kind: str, seconds: float) -> None:
-        self.per_query_type_seconds.setdefault(kind, []).append(seconds)
+        self.record_query_type_batch(kind, seconds, 1)
 
     def record_query_type_batch(self, kind: str, seconds: float, rows: int) -> None:
-        """Record a batch as per-row samples so means stay per-statement.
+        """Record a batch as ``rows`` statements so means stay per-statement.
 
-        An N-row executemany contributes N samples of ``seconds / N`` --
+        An N-row executemany counts N statements and adds its whole time --
         count and total line up with the scalar path's bookkeeping instead
-        of one N-row sample inflating the mean.
+        of one N-row statement inflating the mean.
         """
-        rows = max(rows, 1)
-        self.per_query_type_seconds.setdefault(kind, []).extend(
-            [seconds / rows] * rows
-        )
+        entry = self.per_query_type_seconds.get(kind)
+        if entry is None:
+            entry = self.per_query_type_seconds[kind] = [0, 0.0]
+        entry[0] += max(rows, 1)
+        entry[1] += seconds
 
     def query_type_summary(self) -> dict[str, dict[str, float]]:
         """Per-statement-type count/total/mean, for the benchmark reports."""
-        summary: dict[str, dict[str, float]] = {}
-        for kind, samples in sorted(self.per_query_type_seconds.items()):
-            total = sum(samples)
-            summary[kind] = {
-                "count": len(samples),
+        return {
+            kind: {
+                "count": count,
                 "total_seconds": total,
-                "mean_ms": (total / len(samples)) * 1000 if samples else 0.0,
+                "mean_ms": (total / count) * 1000 if count else 0.0,
             }
-        return summary
+            for kind, (count, total) in sorted(self.per_query_type_seconds.items())
+        }
 
     def reset(self) -> None:
         """Zero every counter (timing series and cache hit/miss included).
@@ -938,6 +939,7 @@ class CryptDBProxy:
         if isinstance(statement, ast.DropTable):
             if self.schema.has_table(statement.table):
                 meta = self.schema.drop_table(statement.table)
+                self.encryptor.forget_table(meta.name)
                 if self.catalog is not None:
                     # Write-ahead: with the record durable first, a crash
                     # before the backend drop leaves an orphaned anonymised

@@ -77,24 +77,29 @@ class DET:
         return out
 
     def decrypt_bytes_many(self, ciphertexts: Sequence[Optional[bytes]]) -> list[Optional[bytes]]:
-        """Invert :meth:`encrypt_bytes_many` (deduplicating equal ciphertexts)."""
+        """Invert :meth:`encrypt_bytes_many` (deduplicating equal ciphertexts).
+
+        The distinct ciphertexts the memo does not hold are decrypted
+        together, in two AES calls for the whole column.
+        """
         memo = self._decrypt_cache if self._cache_enabled else {}
-        out: list[Optional[bytes]] = []
+        missing: dict[bytes, None] = {}
         for ciphertext in ciphertexts:
             if ciphertext is None:
-                out.append(None)
                 continue
-            cached = memo.get(ciphertext)
-            if cached is None:
-                self.cache_misses += 1
-                cached = modes.cmc_decrypt(self._aes, ciphertext)
-                memo[ciphertext] = cached
-                if self._cache_enabled:
-                    self._encrypt_cache[cached] = ciphertext
-            else:
+            if ciphertext in memo or ciphertext in missing:
                 self.cache_hits += 1
-            out.append(cached)
-        return out
+            else:
+                self.cache_misses += 1
+                missing[ciphertext] = None
+        if missing:
+            for ciphertext, plaintext in zip(
+                missing, modes.cmc_decrypt_many(self._aes, list(missing))
+            ):
+                memo[ciphertext] = plaintext
+                if self._cache_enabled:
+                    self._encrypt_cache[plaintext] = ciphertext
+        return [None if ct is None else memo[ct] for ct in ciphertexts]
 
     @property
     def cache_size(self) -> int:

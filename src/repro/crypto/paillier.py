@@ -204,9 +204,9 @@ class PaillierPrivateKey:
 
     ``lam``/``mu`` implement the textbook decryption; when the prime factors
     ``p`` and ``q`` are retained (the generated default), decryption and the
-    ``r^n mod n^2`` randomness precomputation run in CRT form -- two
-    half-size exponentiations recombined via the Chinese remainder theorem --
-    which is several times faster.  Keys deserialised without the factors
+    ``r^n mod n^2`` randomness draw run in CRT form -- two half-size
+    exponentiations recombined via the Chinese remainder theorem -- which is
+    several times faster.  Keys deserialised without the factors
     (``p == q == 0``) transparently fall back to the lambda/mu path.
     """
 
@@ -219,7 +219,7 @@ class PaillierPrivateKey:
 class _CrtContext:
     """Precomputed CRT constants for one private key (computed once)."""
 
-    __slots__ = ("p", "q", "p_squared", "q_squared", "hp", "hq", "exp_p", "exp_q")
+    __slots__ = ("p", "q", "p_squared", "q_squared", "hp", "hq")
 
     def __init__(self, n: int, p: int, q: int):
         self.p = p
@@ -230,18 +230,32 @@ class _CrtContext:
         # for q: the per-prime analogue of mu.
         self.hp = modinv((pow(n + 1, p - 1, self.p_squared) - 1) // p % p, p)
         self.hq = modinv((pow(n + 1, q - 1, self.q_squared) - 1) // q % q, q)
-        # r^n mod p^2 only needs the exponent mod the group order p*(p-1)
-        # (valid whenever gcd(r, p) == 1, which encryption randomness is).
-        self.exp_p = n % (p * (p - 1))
-        self.exp_q = n % (q * (q - 1))
 
-    def pow_to_n(self, r: int, n: int, n_squared: int) -> int:
-        """``r^n mod n^2`` via two half-size exponentiations."""
-        if r % self.p == 0 or r % self.q == 0:  # pragma: no cover - negligible
-            return pow(r, n, n_squared)
-        rp = pow(r % self.p_squared, self.exp_p, self.p_squared)
-        rq = pow(r % self.q_squared, self.exp_q, self.q_squared)
-        return crt_pair(rp, self.p_squared, rq, self.q_squared)
+    def random_nth_residue(self) -> int:
+        """A uniform n-th residue mod n^2, drawn with half-length exponents.
+
+        Encryption multiplies by ``r^n mod n^2`` for a random unit ``r``; all
+        that matters is the distribution of that factor.  By the CRT,
+        ``Z*_{n^2}`` is ``Z*_{p^2} x Z*_{q^2}``, and ``Z*_{p^2}`` is cyclic
+        of order ``p(p-1)``.  Since ``gcd(n, phi(n)) = 1`` (always so for
+        primes of equal length), ``r -> r^n`` maps ``Z*_{p^2}`` onto its
+        unique subgroup of order ``p - 1``, so ``r^n mod p^2`` is uniform
+        on that subgroup, and likewise mod ``q^2``, independently.
+
+        ``x -> x^p`` maps ``Z*_{p^2}`` onto the same order-``(p-1)``
+        subgroup, and ``x^p mod p^2`` depends only on ``x mod p``
+        (``(x + kp)^p = x^p mod p^2``), so ``a -> a^p`` is one-to-one from
+        ``Z*_p`` onto that subgroup.  Hence ``crt(a^p mod p^2, b^q mod q^2)``
+        with ``a`` uniform in ``[1, p)`` and ``b`` uniform in ``[1, q)`` has
+        exactly the distribution of ``r^n mod n^2`` -- for half the
+        exponent length (``p`` instead of ``n mod p(p-1)``).
+        """
+        a = secrets.randbelow(self.p - 1) + 1
+        b = secrets.randbelow(self.q - 1) + 1
+        return crt_pair(
+            pow(a, self.p, self.p_squared), self.p_squared,
+            pow(b, self.q, self.q_squared), self.q_squared,
+        )
 
     def decrypt(self, ciphertext: int) -> int:
         """CRT decryption: L(c^(p-1)) * hp mod p recombined with the q half."""
@@ -303,20 +317,8 @@ class PaillierKeyPair:
 
     # -- randomness pre-computation (section 3.5.2) -----------------------
     def precompute_randomness(self, count: int) -> None:
-        """Pre-compute ``count`` random ``r^n mod n^2`` factors.
-
-        The proxy holds the secret key, so the pool is filled through the CRT
-        fast path when the factors are available.
-        """
-        n = self.public.n
-        n_sq = self.public.n_squared
-        crt = self._crt_context()
-        for _ in range(count):
-            r = secrets.randbelow(n - 2) + 1
-            if crt is not None:
-                self._randomness_pool.append(crt.pow_to_n(r, n, n_sq))
-            else:
-                self._randomness_pool.append(pow(r, n, n_sq))
+        """Pre-compute ``count`` random ``r^n mod n^2`` factors."""
+        self._randomness_pool.extend(self._draw_randomness() for _ in range(count))
 
     @property
     def randomness_pool_size(self) -> int:
@@ -359,12 +361,20 @@ class PaillierKeyPair:
         self.pool_misses += 1
         if self.refill_hook is not None:
             self.refill_hook()
-        n = self.public.n
-        r = secrets.randbelow(n - 2) + 1
+        return self._draw_randomness()
+
+    def _draw_randomness(self) -> int:
+        """One fresh encryption factor, uniform over the n-th residues.
+
+        The proxy holds the secret key, so when the factors are kept the
+        draw takes the CRT path (:meth:`_CrtContext.random_nth_residue`);
+        otherwise it is the textbook ``r^n mod n^2``.
+        """
         crt = self._crt_context()
         if crt is not None:
-            return crt.pow_to_n(r, n, self.public.n_squared)
-        return pow(r, n, self.public.n_squared)
+            return crt.random_nth_residue()
+        n = self.public.n
+        return pow(secrets.randbelow(n - 2) + 1, n, self.public.n_squared)
 
     def reset_counters(self) -> None:
         self.pool_hits = 0

@@ -9,12 +9,13 @@ from repro.errors import CryptoError
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
-    if len(a) != len(b):
+    """XOR two equal-length byte strings (as two big integers, in one step)."""
+    length = len(a)
+    if length != len(b):
         raise CryptoError(
-            "xor_bytes requires equal lengths, got %d and %d" % (len(a), len(b))
+            "xor_bytes requires equal lengths, got %d and %d" % (length, len(b))
         )
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(length, "big")
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

@@ -172,3 +172,25 @@ def test_proxy_may_refuse_but_never_lies(runner):
     report = runner.run(stream)
     assert report.ok, report.describe()
     assert report.refused_by_proxy == 1
+
+
+def test_pure_python_aes_stream(pure_aes, paillier_keypair, repro_seed):
+    """The lanes agree with the native AES backend switched off.
+
+    The seam falls back to the pure-Python cipher wherever libcrypto does
+    not load; that path must answer every statement the same way.
+    """
+    from repro.crypto import aes
+
+    factory = default_lane_factory(
+        remote=True,
+        paillier=paillier_keypair,
+        master_key=MasterKey.from_passphrase("conformance-pure-aes"),
+        hom_precompute=8,
+    )
+    assert aes.backend() == "pure"
+    generator = StatementGenerator(seed=repro_seed, tables=2)
+    stream = generator.generate_stream(max(QUICK_STATEMENTS // 6, 60))
+    report = DifferentialRunner(factory).run_with_shrinking(stream, seed=repro_seed)
+    assert report.ok, report.describe()
+    assert report.selects_compared >= len(stream) // 8

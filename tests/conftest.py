@@ -82,6 +82,15 @@ def _faults_disarmed():
     faults.disarm()
 
 
+@pytest.fixture()
+def pure_aes(monkeypatch):
+    """AES objects made during the test run the pure-Python reference cipher."""
+    from repro.crypto import aes
+
+    monkeypatch.setattr(aes, "_native", None)
+    assert aes.backend() == "pure"
+
+
 def wait_until(
     predicate,
     timeout: float = 10.0,

@@ -37,7 +37,7 @@ def _true_bytes(proxy):
     for memos in (cache._eq_encrypt_memos, cache._eq_decrypt_memos):
         for memo in memos.values():
             total += _walk(memo, seen)
-    for scheme in cache._ope_schemes + cache._search_schemes:
+    for scheme in (*cache._ope_schemes.values(), *cache._search_schemes.values()):
         for container in scheme.cache_objects():
             total += _walk(container, seen)
     pool = proxy.paillier._randomness_pool
@@ -156,3 +156,50 @@ def test_lru_prefers_cold_memos(paillier_keypair):
     assert ("t", "cold") not in cache._eq_encrypt_memos
     assert ("t", "hot") in cache._eq_encrypt_memos
     assert cache.evictions == 1
+
+
+def test_drop_table_releases_its_crypto_state(make_proxy, monkeypatch):
+    """50 create/insert/scan/drop cycles leave the cache where it started.
+
+    DROP TABLE evicts the table's Eq memos, OPE/SEARCH registrations and the
+    encryptor's per-column schemes, so every AES context the cycles built is
+    freed and ``estimated_bytes`` returns to its baseline; the scheme
+    counters the dropped tables earned stay in the totals.
+    """
+    from repro.crypto import aes
+
+    freed, built = [], []
+    release, init = aes._free_contexts, aes.AES.__init__
+
+    def counting_release(*contexts):
+        freed.append(contexts)
+        release(*contexts)
+
+    def counting_init(cipher, key):
+        built.append(key)
+        init(cipher, key)
+
+    monkeypatch.setattr(aes, "_free_contexts", counting_release)
+    monkeypatch.setattr(aes.AES, "__init__", counting_init)
+    proxy = make_proxy(hom_precompute=0)
+    baseline = proxy.stats.cache_stats().estimated_bytes
+    for cycle in range(50):
+        table = f"t{cycle % 3}"
+        proxy.execute(f"CREATE TABLE {table} (id INT, name VARCHAR(20), qty INT, notes TEXT)")
+        proxy.executemany(
+            f"INSERT INTO {table} (id, name, qty, notes) VALUES (?, ?, ?, ?)",
+            [(i, f"n{cycle}-{i}", i * 3, f"word{i} x") for i in range(10)],
+        )
+        proxy.execute(f"SELECT * FROM {table} WHERE qty > 10 ORDER BY qty")
+        proxy.execute(f"SELECT id FROM {table} WHERE name = 'n{cycle}-3'")
+        proxy.execute(f"SELECT id FROM {table} WHERE notes LIKE '%x%'")
+        proxy.execute(f"SELECT * FROM {table}")
+        assert proxy.stats.cache_stats().estimated_bytes > baseline
+        proxy.execute(f"DROP TABLE {table}")
+    stats = proxy.stats.cache_stats()
+    assert stats.estimated_bytes == baseline
+    assert stats.det_entries == stats.ope_entries == stats.search_entries == 0
+    assert stats.ope_misses > 0 and stats.search_misses > 0
+    assert proxy.encryptor._rnd == proxy.encryptor._det == proxy.encryptor._ope == {}
+    if aes.backend() == "libcrypto":
+        assert built and len(freed) == len(built)

@@ -1,5 +1,7 @@
 """Rewrite-plan cache: hits, invalidation on onion adjustment, statistics."""
 
+import sys
+
 import pytest
 
 from repro.errors import ProxyError
@@ -165,3 +167,21 @@ def test_stats_reset_and_per_type_timings(loaded):
     # The proxy keeps working (and counting) after a reset.
     proxy.execute("SELECT name FROM emp WHERE id = ?", (1,))
     assert proxy.stats.queries_processed == 1
+
+
+def test_per_type_timings_stay_bounded(loaded):
+    """Per-kind timings are a count and a total, not one sample per statement."""
+    proxy = loaded
+    proxy.stats.reset()
+    for _ in range(100):
+        proxy.execute("SELECT name FROM emp WHERE id = ?", (1,))
+    size = sys.getsizeof(proxy.stats.per_query_type_seconds["SELECT"])
+    for _ in range(10_000):
+        proxy.stats.record_query_type("SELECT", 0.001)
+    proxy.stats.record_query_type_batch("INSERT", 0.5, 10_000)
+    assert sys.getsizeof(proxy.stats.per_query_type_seconds["SELECT"]) == size
+    summary = proxy.stats.query_type_summary()
+    assert summary["SELECT"]["count"] == 10_100
+    assert summary["INSERT"]["count"] == 10_000
+    assert summary["INSERT"]["total_seconds"] == 0.5
+    assert summary["INSERT"]["mean_ms"] == pytest.approx(0.05)

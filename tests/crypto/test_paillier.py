@@ -83,14 +83,26 @@ def test_crt_decrypt_equivalence_property(keypair, plain_keypair, value):
     assert keypair.decrypt(ciphertext) == plain_keypair.decrypt(ciphertext) == value
 
 
-def test_crt_randomness_precompute_matches_plain_pow(keypair):
-    """The CRT-computed ``r^n mod n^2`` equals the direct exponentiation."""
+def test_crt_randomness_is_an_nth_residue_and_decrypts(keypair, plain_keypair):
+    """The half-length CRT draw lands in the n-th residues mod n^2.
+
+    Every n-th residue ``h`` satisfies ``h^lambda = 1 (mod n^2)``, while a
+    random unit almost never does; a factor outside that subgroup would
+    also shift the decrypted plaintext, so both decryption paths must give
+    the value back.
+    """
     crt = keypair._crt_context()
     assert crt is not None
     n, n_sq = keypair.public.n, keypair.public.n_squared
-    for _ in range(5):
-        r = secrets.randbelow(n - 2) + 1
-        assert crt.pow_to_n(r, n, n_sq) == pow(r, n, n_sq)
+    lam = keypair.private.lam
+    assert pow(secrets.randbelow(n_sq - 2) + 2, lam, n_sq) != 1
+    for value in (0, 5, 123456789):
+        factor = crt.random_nth_residue()
+        assert 0 < factor < n_sq
+        assert pow(factor, lam, n_sq) == 1
+        ciphertext = (1 + n * value) * factor % n_sq
+        assert keypair.decrypt(ciphertext) == value
+        assert plain_keypair.decrypt(ciphertext) == value
 
 
 def test_crt_pool_ciphertexts_decrypt_on_both_paths(keypair, plain_keypair):

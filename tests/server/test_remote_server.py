@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro import faults
 from repro.api import exceptions
 from repro.api.connection import connect
 from repro.server.loopback import LoopbackServer, connect_loopback
@@ -184,6 +185,26 @@ def test_drain_refuses_new_statements_but_finishes_inflight(
     )
     a = connect(url=server.url)
     b = connect(url=server.url)
+    # The in-flight batch is held at the backend until the new statement
+    # has been refused, so the test does not race the batch's speed.
+    reached, release = threading.Event(), threading.Event()
+
+    def hold_batch(context):
+        reached.set()
+        release.wait(timeout=60)
+
+    hold = faults.FaultPlan(
+        0,
+        [
+            faults.FaultRule(
+                "backend.execute",
+                trigger_hits=(1,),
+                kind="call",
+                action=hold_batch,
+                match={"head": "INSERT"},
+            )
+        ],
+    )
     try:
         a.execute("CREATE TABLE dr (id int, v int)")
         inflight_rows = [(i, i) for i in range(400)]
@@ -194,12 +215,11 @@ def test_drain_refuses_new_statements_but_finishes_inflight(
                 "INSERT INTO dr (id, v) VALUES (?, ?)", inflight_rows
             ).rowcount
 
+        injector = faults.arm(hold)
         worker = threading.Thread(target=slow_statement)
         worker.start()
-        wait_until(
-            lambda: server.server._inflight > 0,
-            message="the batch to reach the executor",
-        )
+        wait_until(reached.is_set, timeout=60, message="the batch to reach the backend")
+        assert server.server._inflight > 0
 
         drainer = threading.Thread(target=server.drain)
         drainer.start()
@@ -210,14 +230,18 @@ def test_drain_refuses_new_statements_but_finishes_inflight(
 
         with pytest.raises(exceptions.OperationalError, match="draining"):
             b.execute("INSERT INTO dr (id, v) VALUES (9999, 9999)")
+        release.set()
 
         worker.join(timeout=120)
         drainer.join(timeout=120)
         assert result["count"] == 400  # the in-flight batch fully landed
+        assert injector.fired_count == 1
         stats = server.stats
         assert stats["dropped_inflight"] == 0
         assert stats["statements_refused_draining"] >= 1
     finally:
+        release.set()
+        faults.disarm()
         for c in (a, b):
             try:
                 c.close()

@@ -136,3 +136,36 @@ def test_hello_roundtrip_and_validation():
         parse_hello({**payload, "nonce": b"short"}, "client")
     with pytest.raises(TransportError, match="not a mapping"):
         parse_hello("hello", "client")
+
+
+def test_records_interoperate_across_aes_backends():
+    """A record sealed on the native AES path opens on the pure one, and back.
+
+    Both backends make the same CTR keystream, so twin channels on the two
+    paths seal byte-identical records; tampering is still caught.
+    """
+    from repro.crypto import aes
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(aes, "_native", None)
+        pure_client, pure_server = make_channel_pair()
+    assert pure_client._send_cipher._native is None
+    native_client = SecureChannel(
+        pure_client._send_cipher.key, pure_client._send_mac,
+        pure_client._recv_cipher.key, pure_client._recv_mac,
+        role="client",
+    )
+    assert native_client._send_cipher._native is aes._native
+    payload = bytes(range(256)) * 3 + b"tail"
+    record = native_client.seal(payload)
+    assert record == pure_client.seal(payload)
+    assert pure_server.open(record) == payload
+    assert native_client.open(pure_server.seal(payload)) == payload
+    tampered = bytearray(pure_server.seal(payload))
+    tampered[20] ^= 1
+    with pytest.raises(TransportError):
+        native_client.open(bytes(tampered))
+    tampered = bytearray(native_client.seal(payload))
+    tampered[-1] ^= 1
+    with pytest.raises(TransportError):
+        pure_server.open(bytes(tampered))
